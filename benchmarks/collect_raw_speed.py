@@ -5,9 +5,8 @@ Standalone::
     python benchmarks/collect_raw_speed.py \
         [--out benchmarks/out/BENCH_raw_speed.json]
 
-Merges the rows written by ``bench_parallel_backend.py`` (dense phases),
-``bench_sparse_parallel.py`` (sparse forward-CSR dispatch) and
-``bench_grid_oversubscribe.py`` (out-of-core overhead and prefetch) into
+Merges the rows written by ``bench_parallel_backend.py`` (dense phases)
+and ``bench_grid_oversubscribe.py`` (out-of-core overhead and prefetch) into
 a single ``BENCH_raw_speed.json`` with one section per source, plus a
 summary of the headline numbers.  Sections whose source file has not
 been produced yet are skipped with a note — the rollup never invents
@@ -24,7 +23,6 @@ from pathlib import Path
 #: (section name, source file under benchmarks/out/).
 SECTIONS = [
     ("parallel", "BENCH_parallel.json"),
-    ("sparse", "BENCH_sparse.json"),
     ("grid", "BENCH_grid.json"),
 ]
 
@@ -34,10 +32,6 @@ def summarise(sections: dict[str, list[dict]]) -> dict:
     if "parallel" in sections:
         summary["best_parallel_speedup"] = max(
             row["speedup"] for row in sections["parallel"]
-        )
-    if "sparse" in sections:
-        summary["best_sparse_speedup"] = max(
-            row["speedup"] for row in sections["sparse"]
         )
     if "grid" in sections:
         rows = sections["grid"]

@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", default=None,
                      help="execution backend spec: serial | "
                           "process[:workers=N][:chunk=auto|N][:strict=0|1]"
-                          "[:sparse=0|1][:prefetch=0|1|N] "
+                          "[:prefetch=0|1|N] "
                           "(default: $REPRO_BACKEND or serial)")
     run.add_argument("--edge-order", default="source",
                      choices=("source", "destination", "hilbert"))

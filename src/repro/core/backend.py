@@ -60,7 +60,6 @@ from ..resilience.journal import PartitionRecord
 from .kernels import (
     run_coo_partition,
     run_csc_partition,
-    run_csr_sparse_partition,
     run_pcsr_partition,
 )
 from .ops import validated_cond
@@ -86,7 +85,7 @@ BACKEND_KINDS = ("serial", "process")
 #: option names each backend kind accepts in its spec.
 _SPEC_OPTIONS = {
     "serial": frozenset({"prefetch"}),
-    "process": frozenset({"workers", "chunk", "strict", "start", "sparse", "prefetch"}),
+    "process": frozenset({"workers", "chunk", "strict", "start", "prefetch"}),
 }
 
 
@@ -136,10 +135,9 @@ def backend_options(spec: str) -> tuple[str, dict[str, Any]]:
     Returns ``(kind, options)`` with ``workers`` (int >= 1), ``chunk``
     (``"auto"`` or int >= 1), ``strict`` (bool: refuse vs. silently
     serialise uncertified operators), ``start`` (multiprocessing start
-    method, or ``None`` for fork-with-spawn-fallback), ``sparse``
-    (bool: dispatch the sparse forward-CSR phase across partition
-    ranges too) and ``prefetch`` (int >= 0: grid read-ahead depth in
-    blocks, 0 disables) resolved to their defaults.  Raises
+    method, or ``None`` for fork-with-spawn-fallback) and ``prefetch``
+    (int >= 0: grid read-ahead depth in blocks, 0 disables) resolved to
+    their defaults.  Raises
     :class:`~repro.errors.ValidationError` on any ill-typed value.
     """
     kind, raw = parse_backend_spec(spec)
@@ -192,12 +190,6 @@ def backend_options(spec: str) -> tuple[str, dict[str, Any]]:
             f"backend option 'strict' must be 0 or 1, got {strict_raw!r}"
         )
     options["strict"] = strict_raw == "1"
-    sparse_raw = raw.get("sparse", "0")
-    if sparse_raw not in ("0", "1"):
-        raise ValidationError(
-            f"backend option 'sparse' must be 0 or 1, got {sparse_raw!r}"
-        )
-    options["sparse"] = sparse_raw == "1"
     options["prefetch"] = _prefetch()
     start = raw.get("start")
     if start is not None and start not in get_all_start_methods():
@@ -477,15 +469,7 @@ def _worker_run_chunk(
         cond_fn = validated_cond if opspec["validate"] else _plain_cond
         out: list[PartitionRecord] = []
         for task in tasks:
-            if kernel == "csr":
-                # The driver gathered the frontier's adjacency once and
-                # shipped it through shared memory; each task only masks
-                # its destination range out of the same edge arrays.
-                rec = run_csr_sparse_partition(
-                    op, cond_fn, arrays["gsrc"], arrays["gdst"],
-                    meta["num_vertices"], task.partition, task.lo, task.hi,
-                )
-            elif kernel == "csc":
+            if kernel == "csc":
                 rec = run_csc_partition(
                     op, cond_fn, arrays["index"], arrays["neighbors"],
                     arrays["bitmap"], task.partition, task.lo, task.hi,

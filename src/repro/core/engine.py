@@ -14,8 +14,11 @@ dense and dispatch to the matching traversal kernel —
 The forward-vs-backward choice therefore folds into the density decision
 and is never specified by the algorithm programmer.
 
-Every call records an :class:`~repro.core.stats.EdgeMapStats`, which the
-machine model converts into simulated execution time.
+Every layout feeds one pipeline: it only produces its phase's partition
+records (:class:`~repro.resilience.journal.PartitionRecord`), and one
+fold turns them into the next frontier and one
+:class:`~repro.core.stats.EdgeMapStats`, which the machine model
+converts into simulated execution time.
 
 When constructed with a :class:`~repro.resilience.ResiliencePolicy` the
 engine additionally *supervises* every ``edge_map``: injected or real
@@ -54,6 +57,7 @@ import shutil
 import tempfile
 import weakref
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,11 +98,20 @@ __all__ = ["Engine"]
 
 log = logging.getLogger(__name__)
 
-#: minimum estimated frontier edge work before the sparse CSR phase is
-#: worth splitting across the process backend — below this the per-batch
-#: dispatch overhead dominates any parallel win.  Module-level so tests
-#: can monkeypatch it to 0 and exercise the parallel path on toy graphs.
-SPARSE_DISPATCH_MIN_EDGES = 2048
+
+class _Traversal(NamedTuple):
+    """What a layout adds to its phase's :class:`EdgeMapStats` beyond
+    the facts folded from its partition records."""
+
+    layout: str
+    direction: str
+    uses_atomics: bool
+    #: partition count of a partitioned traversal; ``None`` for the
+    #: unpartitioned sparse CSR, whose stats carry no per-partition arrays.
+    partitions: int | None
+    #: grid I/O counters (0 for the in-memory layouts).
+    io_bytes: int = 0
+    io_blocks: int = 0
 
 
 class Engine:
@@ -359,27 +372,80 @@ class Engine:
         )
 
     def _edge_map_dispatch(self, frontier: Frontier, op: EdgeOperator) -> Frontier:
-        """One un-supervised edge-map attempt (Algorithm 2 dispatch)."""
+        """One un-supervised edge-map attempt: the single edge-map pipeline.
+
+        Algorithm 2 picks the layout; the layout only produces its
+        :class:`PartitionRecord`s (plus the few stats facts that are its
+        own); then one fold turns every layout's records into the next
+        frontier and the phase's :class:`EdgeMapStats`.
+        """
         density = classify_frontier(
             frontier, self.store.out_degrees, self.num_edges, self.options.thresholds
         )
         if self.grid is not None:
-            return self._edge_map_grid(frontier, op, density)
-        layout = self.options.forced_layout or {
-            DensityClass.SPARSE: self.options.sparse_layout,
-            DensityClass.MEDIUM: "csc",
-            DensityClass.DENSE: "coo",
-        }[density]
-
+            layout = "grid"
+        else:
+            layout = self.options.forced_layout or {
+                DensityClass.SPARSE: self.options.sparse_layout,
+                DensityClass.MEDIUM: "csc",
+                DensityClass.DENSE: "coo",
+            }[density]
         if layout == "csr":
-            return self._edge_map_sparse_csr(frontier, op, density)
-        if layout == "csc":
-            return self._edge_map_backward_csc(frontier, op, density)
-        if layout == "coo":
-            return self._edge_map_partitioned_coo(frontier, op, density)
-        if layout == "pcsr":
-            return self._edge_map_partitioned_csr(frontier, op, density)
-        raise AssertionError(f"unreachable layout {layout!r}")
+            traversal, records = self._sparse_csr(frontier, op)
+        elif layout == "csc":
+            traversal, records = self._backward_csc(frontier, op)
+        elif layout == "coo":
+            traversal, records = self._partitioned_coo(frontier, op)
+        elif layout == "pcsr":
+            traversal, records = self._partitioned_csr(frontier, op)
+        else:
+            traversal, records = self._grid_stripes(frontier, op)
+
+        # -- fold: the same for every layout ---------------------------
+        p = traversal.partitions
+        part_examined = part_touched = None
+        if p is not None:
+            part_examined = np.zeros(p, dtype=np.int64)
+            part_touched = np.zeros(p, dtype=np.int64)
+        examined = active_edges = scanned = 0
+        activated: list[np.ndarray] = []
+        for rec in records:
+            examined += rec.examined
+            active_edges += rec.active_edges
+            scanned += rec.scanned
+            if p is not None:
+                # += because a grid stripe yields one record per block.
+                part_examined[rec.partition] += rec.examined
+                part_touched[rec.partition] += rec.touched
+            if len(rec.activated):
+                activated.append(rec.activated)
+        if len(activated) == 1:
+            # The sparse CSR's single record: no concatenation copy.
+            ids = activated[0]
+        elif activated:
+            ids = np.concatenate(activated)
+        else:
+            ids = np.empty(0, VID_DTYPE)
+        nxt = Frontier(self.num_vertices, sparse=ids)
+        self.stats.edge_maps.append(
+            EdgeMapStats(
+                layout=traversal.layout,
+                direction=traversal.direction,
+                density=density,
+                frontier_size=frontier.size,
+                active_edges=active_edges,
+                examined_edges=examined,
+                scanned_vertices=scanned,
+                updated_vertices=nxt.size,
+                uses_atomics=traversal.uses_atomics,
+                num_partitions=1 if p is None else p,
+                partition_examined=part_examined,
+                partition_touched_vertices=part_touched,
+                io_bytes=traversal.io_bytes,
+                io_blocks=traversal.io_blocks,
+            )
+        )
+        return nxt
 
     # ------------------------------------------------------------------
     # supervised execution (resilience)
@@ -620,12 +686,9 @@ class Engine:
         if journal is None:
             self._before_partition(i)
             return body()
-        record = journal.completed(i)
+        record = self._replayable(journal, op, i, lo, hi)
         if record is not None:
-            if self._slice_digest(op, lo, hi) == record.digest:
-                journal.note_replay(i)
-                return record
-            journal.drop(i)  # state diverged since the commit; re-execute
+            return record
         journal.note_execution(i)
         self._check_watchdog(i)
         saved = self._partition_snapshot(op, lo, hi)
@@ -638,6 +701,23 @@ class Engine:
         record.digest = self._slice_digest(op, lo, hi)
         journal.commit(record)
         return record
+
+    def _replayable(
+        self, journal: PhaseJournal, op: EdgeOperator, i: int, lo: int, hi: int
+    ) -> PartitionRecord | None:
+        """Partition ``i``'s committed record, when a retry may replay it.
+
+        A record replays only while the ``[lo, hi)`` state slice still
+        matches its digest; otherwise it is dropped and ``i`` re-executes.
+        """
+        record = journal.completed(i)
+        if record is None:
+            return None
+        if self._slice_digest(op, lo, hi) == record.digest:
+            journal.note_replay(i)
+            return record
+        journal.drop(i)  # state diverged since the commit; re-execute
+        return None
 
     def _partition_snapshot(self, op: EdgeOperator, lo: int, hi: int):
         """Snapshot one partition task's write set before it executes.
@@ -828,15 +908,13 @@ class Engine:
         records: dict[int, PartitionRecord] = {}
         pending: list[PartitionTask] = []
         for task in tasks:
+            rec = None
             if journal is not None:
-                rec = journal.completed(task.partition)
-                if rec is not None:
-                    if self._slice_digest(op, task.lo, task.hi) == rec.digest:
-                        journal.note_replay(task.partition)
-                        records[task.partition] = rec
-                        continue
-                    journal.drop(task.partition)
-            pending.append(task)
+                rec = self._replayable(journal, op, task.partition, task.lo, task.hi)
+            if rec is not None:
+                records[task.partition] = rec
+            else:
+                pending.append(task)
         for task in pending:
             if journal is not None:
                 journal.note_execution(task.partition)
@@ -867,154 +945,38 @@ class Engine:
                     journal.commit(rec)
         return [records[task.partition] for task in tasks]
 
+    # ------------------------------------------------------------------
+    # the layouts: each only produces its phase's partition records
+    # ------------------------------------------------------------------
+    def _partition_tasks(self, ranges, extra=None) -> list[PartitionTask]:
+        """One task per partition of ``ranges``, in the configured order;
+        ``extra(i)`` supplies a kernel-specific payload."""
+        return [
+            PartitionTask(i, *ranges.vertex_range(i), extra=extra(i) if extra else ())
+            for i in self._partition_schedule(ranges.num_partitions)
+        ]
+
     # -- sparse: forward traversal of the unpartitioned CSR -------------
-    def _edge_map_sparse_csr(
-        self, frontier: Frontier, op: EdgeOperator, density: DensityClass
-    ) -> Frontier:
+    def _sparse_csr(self, frontier: Frontier, op: EdgeOperator):
+        """One kernel call over the whole destination range.
+
+        The phase has no partitions, so it runs outside
+        :meth:`_run_partition`: no journal, watchdog or per-partition
+        fault hook, and no per-partition stats arrays.
+        """
         active = frontier.as_sparse()
-        if self._sparse_parallel_admitted(active):
-            return self._edge_map_sparse_csr_partitioned(
-                frontier, op, density, active
-            )
         csr = self.store.csr
         src, dst = gather_adjacency(csr.index, csr.neighbors, active)
-        examined = int(dst.size)
-        cond = self._cond(op, dst)
-        if cond is not None:
-            src, dst = src[cond], dst[cond]
-        activated = op.process_edges(src, dst)
-        nxt = self._make_frontier(activated)
-        self.stats.edge_maps.append(
-            EdgeMapStats(
-                layout="csr",
-                direction="forward",
-                density=density,
-                frontier_size=frontier.size,
-                active_edges=int(dst.size),
-                examined_edges=examined,
-                scanned_vertices=int(active.size),
-                updated_vertices=nxt.size,
-                uses_atomics=self.options.num_threads > 1,
-                num_partitions=1,
-            )
+        rec = run_csr_sparse_partition(
+            op, self._cond, src, dst, self.num_vertices, int(active.size)
         )
-        return nxt
-
-    def _sparse_parallel_admitted(self, active: np.ndarray) -> bool:
-        """Whether this sparse phase should split across partition ranges.
-
-        Requires an admitted concurrent phase (certified operator +
-        non-serial backend), the ``sparse=1`` spec knob, more than one
-        partition to split over, and enough estimated frontier edge
-        work to amortise the dispatch."""
-        if not (self._phase_concurrent and self._backend_conf.get("sparse")):
-            return False
-        if self.store.partition.num_partitions <= 1:
-            return False
-        est_edges = int(self.store.out_degrees[active].sum())
-        return est_edges >= SPARSE_DISPATCH_MIN_EDGES
-
-    def _edge_map_sparse_csr_partitioned(
-        self,
-        frontier: Frontier,
-        op: EdgeOperator,
-        density: DensityClass,
-        active: np.ndarray,
-    ) -> Frontier:
-        """Sparse forward CSR, split across destination partition ranges.
-
-        The frontier's out-adjacency is gathered *once in the driver*
-        and shipped to the workers through shared memory; each task
-        masks its disjoint ``[lo, hi)`` destination slice out of the
-        gathered edges — per-destination edge order is preserved, so a
-        partition-pure operator accumulates bit-identically to the
-        serial whole-range traversal regardless of task order.  Because
-        every task re-scans the whole gathered edge list for its mask,
-        the partition ranges are coarsened to ~2x the worker count
-        (splitting along partition boundaries) instead of one task per
-        partition — the masking work stays O(workers x |F_edges|), not
-        O(p x |F_edges|).  The emitted :class:`EdgeMapStats` mirrors the
-        serial sparse phase exactly (``num_partitions=1``, no
-        per-partition arrays) so the cost model stays backend-invariant.
-        """
-        csr = self.store.csr
-        n = self.num_vertices
-        ranges = self.store.partition
-        p = ranges.num_partitions
-        workers = int(self._backend_conf.get("workers") or 1)
-        num_tasks = min(p, max(1, 2 * workers))
-        cuts = [(g * p) // num_tasks for g in range(num_tasks + 1)]
-        coarse = [
-            (
-                ranges.vertex_range(cuts[g])[0],
-                ranges.vertex_range(cuts[g + 1] - 1)[1],
-            )
-            for g in range(num_tasks)
-        ]
-        tasks = [
-            PartitionTask(g, *coarse[g])
-            for g in self._partition_schedule(num_tasks)
-        ]
-        gsrc, gdst = gather_adjacency(csr.index, csr.neighbors, active)
-
-        def body(task: PartitionTask) -> PartitionRecord:
-            return run_csr_sparse_partition(
-                op, self._cond, gsrc, gdst, n, task.partition, task.lo, task.hi
-            )
-
-        examined = 0
-        active_edges = 0
-        activated_parts: list[np.ndarray] = []
-        for rec in self._run_partition_batch(
-            op, "csr", tasks,
-            shared={},
-            transient={"gsrc": gsrc, "gdst": gdst},
-            meta={"num_vertices": n},
-            inline_body=body,
-        ):
-            examined += rec.examined
-            active_edges += rec.active_edges
-            if rec.activated.size:
-                activated_parts.append(rec.activated)
-        nxt = self._make_frontier(
-            np.concatenate(activated_parts)
-            if activated_parts
-            else np.empty(0, VID_DTYPE)
-        )
-        self.stats.edge_maps.append(
-            EdgeMapStats(
-                layout="csr",
-                direction="forward",
-                density=density,
-                frontier_size=frontier.size,
-                active_edges=active_edges,
-                examined_edges=examined,
-                scanned_vertices=int(active.size),
-                updated_vertices=nxt.size,
-                uses_atomics=self.options.num_threads > 1,
-                num_partitions=1,
-            )
-        )
-        return nxt
+        return _Traversal("csr", "forward", self.options.num_threads > 1, None), [rec]
 
     # -- medium-dense: backward traversal of the ranged CSC -------------
-    def _edge_map_backward_csc(
-        self, frontier: Frontier, op: EdgeOperator, density: DensityClass
-    ) -> Frontier:
+    def _backward_csc(self, frontier: Frontier, op: EdgeOperator):
         bitmap = frontier.as_bitmap()
         csc = self.store.csc.csc
         ranges = self.store.csc.partition
-        activated_parts: list[np.ndarray] = []
-        p = ranges.num_partitions
-        part_examined = np.zeros(p, dtype=np.int64)
-        part_touched = np.zeros(p, dtype=np.int64)
-        examined = 0
-        active_edges = 0
-        scanned = 0
-        tasks = [
-            PartitionTask(i, *ranges.vertex_range(i))
-            for i in self._partition_schedule(p)
-        ]
 
         def body(task: PartitionTask) -> PartitionRecord:
             return run_csc_partition(
@@ -1022,65 +984,21 @@ class Engine:
                 task.partition, task.lo, task.hi,
             )
 
-        for rec in self._run_partition_batch(
-            op, "csc", tasks,
+        records = self._run_partition_batch(
+            op, "csc", self._partition_tasks(ranges),
             shared={"index": csc.index, "neighbors": csc.neighbors},
             transient={"bitmap": bitmap},
             meta={},
             inline_body=body,
-        ):
-            i = rec.partition
-            part_examined[i] = rec.examined
-            part_touched[i] = rec.touched
-            examined += rec.examined
-            active_edges += rec.active_edges
-            scanned += rec.scanned
-            if rec.activated.size:
-                activated_parts.append(rec.activated)
-        nxt = self._make_frontier(
-            np.concatenate(activated_parts) if activated_parts else np.empty(0, VID_DTYPE)
         )
-        self.stats.edge_maps.append(
-            EdgeMapStats(
-                layout="csc",
-                direction="backward",
-                density=density,
-                frontier_size=frontier.size,
-                active_edges=active_edges,
-                examined_edges=examined,
-                scanned_vertices=scanned,
-                updated_vertices=nxt.size,
-                uses_atomics=False,
-                num_partitions=p,
-                partition_examined=part_examined,
-                partition_touched_vertices=part_touched,
-            )
-        )
-        return nxt
+        return _Traversal("csc", "backward", False, ranges.num_partitions), records
 
     # -- dense: streaming traversal of the partitioned COO --------------
-    def _edge_map_partitioned_coo(
-        self, frontier: Frontier, op: EdgeOperator, density: DensityClass
-    ) -> Frontier:
+    def _partitioned_coo(self, frontier: Frontier, op: EdgeOperator):
         bitmap = frontier.as_bitmap()
         coo = self.store.coo
         p = coo.num_partitions
-        activated_parts: list[np.ndarray] = []
-        part_examined = np.zeros(p, dtype=np.int64)
-        part_touched = np.zeros(p, dtype=np.int64)
-        active_edges = 0
-        ranges = coo.partition
-        tasks = [
-            PartitionTask(
-                i,
-                *ranges.vertex_range(i),
-                extra=(
-                    int(coo.partition_index[i]),
-                    int(coo.partition_index[i + 1]),
-                ),
-            )
-            for i in self._partition_schedule(p)
-        ]
+        index = coo.partition_index
 
         def body(task: PartitionTask) -> PartitionRecord:
             src, dst = coo.partition_edges(task.partition)
@@ -1088,44 +1006,55 @@ class Engine:
                 op, self._cond, src, dst, bitmap, task.partition, task.lo, task.hi
             )
 
-        for rec in self._run_partition_batch(
-            op, "coo", tasks,
+        records = self._run_partition_batch(
+            op, "coo",
+            self._partition_tasks(
+                coo.partition, lambda i: (int(index[i]), int(index[i + 1]))
+            ),
             shared={"src": coo.src, "dst": coo.dst},
             transient={"bitmap": bitmap},
             meta={},
             inline_body=body,
-        ):
-            i = rec.partition
-            part_examined[i] = rec.examined
-            part_touched[i] = rec.touched
-            active_edges += rec.active_edges
-            if rec.activated.size:
-                activated_parts.append(rec.activated)
-        nxt = self._make_frontier(
-            np.concatenate(activated_parts) if activated_parts else np.empty(0, VID_DTYPE)
         )
-        self.stats.edge_maps.append(
-            EdgeMapStats(
-                layout="coo",
-                direction="forward",
-                density=density,
-                frontier_size=frontier.size,
-                active_edges=active_edges,
-                examined_edges=coo.num_edges,
-                scanned_vertices=0,
-                updated_vertices=nxt.size,
-                uses_atomics=p < self.options.num_threads,
-                num_partitions=p,
-                partition_examined=part_examined,
-                partition_touched_vertices=part_touched,
+        return _Traversal("coo", "forward", p < self.options.num_threads, p), records
+
+    # -- forced: partitioned CSR (Figure 5 layout comparison) -----------
+    def _partitioned_csr(self, frontier: Frontier, op: EdgeOperator):
+        if self._pcsr is None:
+            self._pcsr = self.store.build_partitioned_csr()
+        bitmap = frontier.as_bitmap()
+        pcsr = self._pcsr
+        p = pcsr.num_partitions
+        active_ids = frontier.as_sparse()
+        tasks = self._partition_tasks(pcsr.partition)
+        shared: dict[str, np.ndarray] = {}
+        num_stored: dict[int, int] = {}
+        for task in tasks:
+            part = pcsr.parts[task.partition]
+            shared[f"index:{task.partition}"] = part.index
+            shared[f"neighbors:{task.partition}"] = part.neighbors
+            shared[f"vertex_ids:{task.partition}"] = part.vertex_ids
+            num_stored[task.partition] = int(part.num_stored_vertices)
+
+        def body(task: PartitionTask) -> PartitionRecord:
+            part = pcsr.parts[task.partition]
+            return run_pcsr_partition(
+                op, self._cond, part.index, part.neighbors, part.vertex_ids,
+                int(part.num_stored_vertices), bitmap, active_ids,
+                task.partition, task.lo, task.hi,
             )
+
+        records = self._run_partition_batch(
+            op, "pcsr", tasks,
+            shared=shared,
+            transient={"bitmap": bitmap},
+            meta={"active_ids": active_ids, "num_stored": num_stored},
+            inline_body=body,
         )
-        return nxt
+        return _Traversal("pcsr", "forward", p < self.options.num_threads, p), records
 
     # -- out-of-core: streaming traversal of the on-disk grid -----------
-    def _edge_map_grid(
-        self, frontier: Frontier, op: EdgeOperator, density: DensityClass
-    ) -> Frontier:
+    def _grid_stripes(self, frontier: Frontier, op: EdgeOperator):
         """Stream the P×P grid block-by-block under the memory budget.
 
         Destination stripes are the write-set unit (each owns a disjoint
@@ -1146,45 +1075,15 @@ class Engine:
             bool(bitmap[lo:hi].any())
             for lo, hi in (grid.stripes.vertex_range(i) for i in range(p))
         ]
-        activated_parts: list[np.ndarray] = []
-        part_examined = np.zeros(p, dtype=np.int64)
-        part_touched = np.zeros(p, dtype=np.int64)
-        active_edges = 0
-        examined = 0
+        records: list[PartitionRecord] = []
         io = {"bytes": 0, "blocks": 0}
         for j in range(p):
             lo, hi = grid.stripes.vertex_range(j)
-            for rec in self._run_grid_stripe(
+            records += self._run_grid_stripe(
                 j, op, bitmap, stripe_active, lo, hi, journal, io
-            ):
-                examined += rec.examined
-                active_edges += rec.active_edges
-                part_examined[j] += rec.examined
-                part_touched[j] += rec.touched
-                if rec.activated.size:
-                    activated_parts.append(rec.activated)
-        nxt = self._make_frontier(
-            np.concatenate(activated_parts) if activated_parts else np.empty(0, VID_DTYPE)
-        )
-        self.stats.edge_maps.append(
-            EdgeMapStats(
-                layout="grid",
-                direction="forward",
-                density=density,
-                frontier_size=frontier.size,
-                active_edges=active_edges,
-                examined_edges=examined,
-                scanned_vertices=0,
-                updated_vertices=nxt.size,
-                uses_atomics=False,
-                num_partitions=p,
-                partition_examined=part_examined,
-                partition_touched_vertices=part_touched,
-                io_bytes=io["bytes"],
-                io_blocks=io["blocks"],
             )
-        )
-        return nxt
+        traversal = _Traversal("grid", "forward", False, p, io["bytes"], io["blocks"])
+        return traversal, records
 
     def _run_grid_stripe(
         self, j: int, op: EdgeOperator, bitmap, stripe_active, lo: int, hi: int,
@@ -1284,80 +1183,6 @@ class Engine:
             f"{self._edge_map_index}"
         )
 
-    # -- forced: partitioned CSR (Figure 5 layout comparison) -----------
-    def _edge_map_partitioned_csr(
-        self, frontier: Frontier, op: EdgeOperator, density: DensityClass
-    ) -> Frontier:
-        if self._pcsr is None:
-            self._pcsr = self.store.build_partitioned_csr()
-        bitmap = frontier.as_bitmap()
-        pcsr = self._pcsr
-        p = pcsr.num_partitions
-        activated_parts: list[np.ndarray] = []
-        part_examined = np.zeros(p, dtype=np.int64)
-        part_touched = np.zeros(p, dtype=np.int64)
-        active_edges = 0
-        examined = 0
-        scanned = 0
-        active_ids = frontier.as_sparse()
-        ranges = pcsr.partition
-        tasks = [
-            PartitionTask(i, *ranges.vertex_range(i))
-            for i in self._partition_schedule(p)
-        ]
-        shared: dict[str, np.ndarray] = {}
-        num_stored: dict[int, int] = {}
-        for task in tasks:
-            part = pcsr.parts[task.partition]
-            shared[f"index:{task.partition}"] = part.index
-            shared[f"neighbors:{task.partition}"] = part.neighbors
-            shared[f"vertex_ids:{task.partition}"] = part.vertex_ids
-            num_stored[task.partition] = int(part.num_stored_vertices)
-
-        def body(task: PartitionTask) -> PartitionRecord:
-            part = pcsr.parts[task.partition]
-            return run_pcsr_partition(
-                op, self._cond, part.index, part.neighbors, part.vertex_ids,
-                int(part.num_stored_vertices), bitmap, active_ids,
-                task.partition, task.lo, task.hi,
-            )
-
-        for rec in self._run_partition_batch(
-            op, "pcsr", tasks,
-            shared=shared,
-            transient={"bitmap": bitmap},
-            meta={"active_ids": active_ids, "num_stored": num_stored},
-            inline_body=body,
-        ):
-            i = rec.partition
-            part_examined[i] = rec.examined
-            part_touched[i] = rec.touched
-            examined += rec.examined
-            active_edges += rec.active_edges
-            scanned += rec.scanned
-            if rec.activated.size:
-                activated_parts.append(rec.activated)
-        nxt = self._make_frontier(
-            np.concatenate(activated_parts) if activated_parts else np.empty(0, VID_DTYPE)
-        )
-        self.stats.edge_maps.append(
-            EdgeMapStats(
-                layout="pcsr",
-                direction="forward",
-                density=density,
-                frontier_size=frontier.size,
-                active_edges=active_edges,
-                examined_edges=examined,
-                scanned_vertices=scanned,
-                updated_vertices=nxt.size,
-                uses_atomics=p < self.options.num_threads,
-                num_partitions=p,
-                partition_examined=part_examined,
-                partition_touched_vertices=part_touched,
-            )
-        )
-        return nxt
-
     # ------------------------------------------------------------------
     # vertex map
     # ------------------------------------------------------------------
@@ -1377,7 +1202,3 @@ class Engine:
         if keep.shape != ids.shape:
             raise ValueError("predicate must return one boolean per active vertex")
         return Frontier(self.num_vertices, sparse=ids[keep])
-
-    # ------------------------------------------------------------------
-    def _make_frontier(self, activated: np.ndarray) -> Frontier:
-        return Frontier(self.num_vertices, sparse=activated)

@@ -3,11 +3,13 @@
 Each function runs *one partition task* of the corresponding partitioned
 traversal (backward CSC, streaming COO, partitioned CSR) over plain
 numpy arrays and returns its
-:class:`~repro.resilience.journal.PartitionRecord`.  They are the single
-source of truth for the partition-task computation: the engine's serial
-path calls them inline (under the journal/watchdog supervision of
-``Engine._run_partition``) and the process backend's workers call the
-very same functions over shared-memory views of the same arrays — which
+:class:`~repro.resilience.journal.PartitionRecord`; the unpartitioned
+sparse forward-CSR traversal returns one record for the whole range, so
+the engine folds every layout's records the same way.  They are the
+single source of truth for the partition-task computation: the engine's
+serial path calls the partitioned ones inline (under the
+journal/watchdog supervision of ``Engine._run_partition``) and the
+process backend's workers call the very same functions over shared-memory views of the same arrays — which
 is what makes the two backends bit-identical by construction rather
 than by testing alone.
 
@@ -78,37 +80,29 @@ def run_csr_sparse_partition(
     src: np.ndarray,
     dst: np.ndarray,
     num_vertices: int,
-    partition: int,
-    lo: int,
-    hi: int,
+    scanned: int,
 ) -> PartitionRecord:
-    """One destination-range slice of the sparse forward-CSR traversal.
+    """The sparse forward-CSR traversal over the whole destination range.
 
     ``src``/``dst`` are the edges already gathered from the frontier's
-    out-adjacency (frontier-sorted, so per-destination edge order is the
-    gather order).  Restricting to ``dst in [lo, hi)`` preserves that
-    relative order, and every edge targeting a given destination lands
-    in exactly one partition — which is why running the slices in any
-    order (or concurrently) accumulates bit-identically to the serial
-    whole-range call for partition-pure operators.  The serial path
-    passes the whole range ``[0, num_vertices)`` and skips the mask.
+    out-adjacency; ``scanned`` is the number of active vertices whose
+    slices were gathered.  The phase is unpartitioned, so the record
+    covers ``[0, num_vertices)`` and carries no ``touched`` count (no
+    sparse statistic reads it).
     """
-    if lo > 0 or hi < num_vertices:
-        sel = (dst >= lo) & (dst < hi)
-        src, dst = src[sel], dst[sel]
     examined = int(dst.size)
     cond = cond_fn(op, dst)
     if cond is not None:
         src, dst = src[cond], dst[cond]
     acts = op.process_edges(src, dst)
     return PartitionRecord(
-        partition=partition,
-        lo=lo,
-        hi=hi,
+        partition=0,
+        lo=0,
+        hi=num_vertices,
         activated=acts,
         examined=examined,
-        touched=int(np.unique(dst).size),
         active_edges=int(dst.size),
+        scanned=scanned,
         cond_calls=1,
     )
 

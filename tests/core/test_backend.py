@@ -40,6 +40,11 @@ def test_unknown_option_is_refused():
         parse_backend_spec("process:depth=3")
 
 
+def test_removed_sparse_option_is_refused():
+    with pytest.raises(ValidationError, match="does not accept option 'sparse'"):
+        backend_options("process:sparse=1")
+
+
 def test_serial_accepts_only_prefetch():
     with pytest.raises(ValidationError, match="does not accept option"):
         parse_backend_spec("serial:workers=2")
@@ -73,15 +78,11 @@ def test_serial_typed_options_are_prefetch_only():
     assert backend_options("serial:prefetch=3") == ("serial", {"prefetch": 3})
 
 
-def test_sparse_and_prefetch_are_typed():
-    kind, options = backend_options("process:workers=2:sparse=1:prefetch=2")
+def test_prefetch_is_typed():
+    kind, options = backend_options("process:workers=2:prefetch=2")
     assert kind == "process"
-    assert options["sparse"] is True
     assert options["prefetch"] == 2
-    assert backend_options("process")[1]["sparse"] is False
     assert backend_options("process")[1]["prefetch"] == 0
-    with pytest.raises(ValidationError, match="sparse"):
-        backend_options("process:sparse=yes")
     with pytest.raises(ValidationError, match="prefetch"):
         backend_options("process:prefetch=-1")
     with pytest.raises(ValidationError, match="prefetch"):
@@ -171,23 +172,3 @@ def test_engine_options_validates_the_spec():
         EngineOptions(backend="warp")
     with pytest.raises(ValidationError):
         EngineOptions(backend="process:workers=none")
-
-
-def test_deprecated_parallel_true_maps_to_process(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    with pytest.warns(DeprecationWarning, match="parallel is deprecated"):
-        opts = EngineOptions(parallel=True)
-    assert opts.backend == "process"
-
-
-def test_deprecated_parallel_false_keeps_backend(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    with pytest.warns(DeprecationWarning):
-        opts = EngineOptions(parallel=False)
-    assert opts.backend == "serial"
-
-
-def test_deprecated_parallel_true_respects_explicit_backend():
-    with pytest.warns(DeprecationWarning):
-        opts = EngineOptions(parallel=True, backend="process:workers=2")
-    assert opts.backend == "process:workers=2"
