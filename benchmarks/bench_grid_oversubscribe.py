@@ -6,30 +6,23 @@ Standalone (no pytest-benchmark dependency)::
         [--out benchmarks/out/BENCH_grid.json] \
         [--baseline benchmarks/BENCH_grid_baseline.json]
 
-Runs BFS and PR on a skewed R-MAT graph three times: once fully in RAM,
+Runs BFS and PR on a skewed R-MAT graph twice: once fully in RAM, and
 once supervised with a memory budget of a quarter of the three-copy
-layout — forcing the degradation ladder onto the spilled grid — and
-once more with double-buffered block prefetch (``serial:prefetch=2``)
-on top of the same budget.  Asserts *bit-identical* results, that the
-budget governor's resident high-water mark never exceeded the budget,
-and that the prefetch reservations stayed within the read-ahead quota
-(modulo the documented single-oversized-payload escape hatch) before
-timing is even reported.  Writes ``BENCH_grid.json`` rows ``{name,
-vertices, edges, budget_bytes, high_water_bytes, block_reads,
-cache_hits, evictions, blocks_skipped, inram_s, grid_s, overhead,
-prefetch_s, prefetch_overhead, prefetched, prefetch_high_water_bytes}``.
+layout — forcing the degradation ladder onto the spilled grid.  Asserts
+*bit-identical* results and that the budget governor's resident
+high-water mark never exceeded the budget before timing is even
+reported.  Writes ``BENCH_grid.json`` rows ``{name, vertices, edges,
+budget_bytes, high_water_bytes, block_reads, cache_hits, evictions,
+blocks_skipped, inram_s, grid_s, overhead}``.
 
 Gates:
 
-* **correctness (always enforced)** — bit-identity and both high-water
-  bounds are hard failures, machine speed cannot excuse them.
+* **correctness (always enforced)** — bit-identity and the high-water
+  bound are hard failures, machine speed cannot excuse them.
 * **overhead gate** — against the committed baseline, fail when a row's
   grid-over-RAM slowdown grows beyond ``baseline * REGRESSION_RATIO``.
   The streamed path re-reads evicted blocks, so some overhead is
   expected; the gate catches it running away.
-* **prefetch gate (tighter)** — the prefetched run overlaps block I/O
-  with compute, so its overhead is held to the stricter
-  ``baseline * PREFETCH_REGRESSION_RATIO``.
 """
 
 from __future__ import annotations
@@ -53,10 +46,6 @@ from repro.resilience import ResiliencePolicy  # noqa: E402
 
 #: regression gate: fail when a row's overhead doubles vs the baseline.
 REGRESSION_RATIO = 2.0
-#: tighter gate for the prefetched run: read-ahead must keep paying.
-PREFETCH_REGRESSION_RATIO = 1.5
-#: grid read-ahead depth for the prefetched run.
-PREFETCH_DEPTH = 2
 
 #: oversubscription factor: budget = three-copy bytes / this.
 OVERSUBSCRIBE = 4
@@ -111,37 +100,6 @@ def bench_workload(
             f"exceeded the {budget} B budget"
         )
 
-    prefetch_engine = Engine(
-        store,
-        EngineOptions(num_threads=4, backend=f"serial:prefetch={PREFETCH_DEPTH}"),
-        resilience=ResiliencePolicy(memory_budget=budget),
-    )
-    prefetch_s, prefetch_result = timed(lambda: spec.run(prefetch_engine))
-    grid = prefetch_engine.grid
-    if grid is None or not grid.prefetch_enabled:
-        raise SystemExit(f"{name}: the prefetched run never enabled read-ahead")
-    prefetch_arrays = registry.result_arrays(prefetch_result)
-    for key in inram_arrays:
-        if not np.array_equal(inram_arrays[key], prefetch_arrays[key]):
-            raise SystemExit(
-                f"{name}: field {key!r} not bit-identical under prefetch"
-            )
-    pf_governor = grid.budget
-    if pf_governor.high_water_bytes > budget:
-        raise SystemExit(
-            f"{name}: prefetched resident high-water "
-            f"{pf_governor.high_water_bytes} B exceeded the {budget} B budget"
-        )
-    quota = pf_governor.effective_prefetch_quota()
-    biggest = max(e["bytes"] for e in grid.manifest["blocks"])
-    if pf_governor.prefetch_high_water_bytes > max(quota, biggest):
-        raise SystemExit(
-            f"{name}: prefetch high-water "
-            f"{pf_governor.prefetch_high_water_bytes} B exceeded the "
-            f"{quota} B read-ahead quota"
-        )
-    grid.close()
-
     stats = grid_engine.grid.stats
     return {
         "name": name,
@@ -156,12 +114,6 @@ def bench_workload(
         "inram_s": round(inram_s, 4),
         "grid_s": round(grid_s, 4),
         "overhead": round(grid_s / inram_s, 2) if inram_s > 0 else float("inf"),
-        "prefetch_s": round(prefetch_s, 4),
-        "prefetch_overhead": (
-            round(prefetch_s / inram_s, 2) if inram_s > 0 else float("inf")
-        ),
-        "prefetched": int(grid.stats.prefetched),
-        "prefetch_high_water_bytes": int(pf_governor.prefetch_high_water_bytes),
     }
 
 
@@ -180,16 +132,6 @@ def check_baseline(rows: list[dict], baseline_path: Path) -> list[str]:
                 f"{ceiling:.2f}x (baseline {base['overhead']}x "
                 f"* {REGRESSION_RATIO})"
             )
-        base_pf = base.get("prefetch_overhead")
-        if base_pf is not None:
-            pf_ceiling = base_pf * PREFETCH_REGRESSION_RATIO
-            if row["prefetch_overhead"] > pf_ceiling:
-                errors.append(
-                    f"{row['name']}: prefetch overhead "
-                    f"{row['prefetch_overhead']}x grew past "
-                    f"{pf_ceiling:.2f}x (baseline {base_pf}x "
-                    f"* {PREFETCH_REGRESSION_RATIO})"
-                )
     return errors
 
 
@@ -216,9 +158,6 @@ def main(argv: list[str] | None = None) -> int:
             f"(high-water {row['high_water_bytes'] / 1024:.0f} KiB)  "
             f"in-RAM {row['inram_s']:.3f}s  grid {row['grid_s']:.3f}s  "
             f"overhead {row['overhead']:.2f}x  "
-            f"prefetch {row['prefetch_s']:.3f}s "
-            f"({row['prefetch_overhead']:.2f}x, "
-            f"{row['prefetched']} block(s) prefetched)  "
             f"reads {row['block_reads']} hits {row['cache_hits']} "
             f"evictions {row['evictions']} skipped {row['blocks_skipped']}"
         )

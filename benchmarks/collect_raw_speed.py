@@ -6,7 +6,7 @@ Standalone::
         [--out benchmarks/out/BENCH_raw_speed.json]
 
 Merges the rows written by ``bench_parallel_backend.py`` (dense phases)
-and ``bench_grid_oversubscribe.py`` (out-of-core overhead and prefetch) into
+and ``bench_grid_oversubscribe.py`` (out-of-core overhead) into
 a single ``BENCH_raw_speed.json`` with one section per source, plus a
 summary of the headline numbers.  Sections whose source file has not
 been produced yet are skipped with a note — the rollup never invents
@@ -34,12 +34,9 @@ def summarise(sections: dict[str, list[dict]]) -> dict:
             row["speedup"] for row in sections["parallel"]
         )
     if "grid" in sections:
-        rows = sections["grid"]
-        summary["worst_grid_overhead"] = max(row["overhead"] for row in rows)
-        if all("prefetch_overhead" in row for row in rows):
-            summary["worst_prefetch_overhead"] = max(
-                row["prefetch_overhead"] for row in rows
-            )
+        summary["worst_grid_overhead"] = max(
+            row["overhead"] for row in sections["grid"]
+        )
     return summary
 
 

@@ -135,8 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--threads", type=int, default=48)
     run.add_argument("--backend", default=None,
                      help="execution backend spec: serial | "
-                          "process[:workers=N][:chunk=auto|N][:strict=0|1]"
-                          "[:prefetch=0|1|N] "
+                          "process[:workers=N][:chunk=auto|N][:strict=0|1] "
                           "(default: $REPRO_BACKEND or serial)")
     run.add_argument("--edge-order", default="source",
                      choices=("source", "destination", "hilbert"))
@@ -403,10 +402,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"grid: resident high-water {budget.high_water_bytes} B "
                   f"of {budget.limit_bytes} B budget "
                   f"({budget.admissions} admissions, {budget.evictions} evictions)")
-        if budget.prefetch_high_water_bytes:
-            quota = budget.effective_prefetch_quota()
-            print(f"grid: prefetch high-water {budget.prefetch_high_water_bytes} B"
-                  + (f" of {quota} B quota" if quota is not None else ""))
         for line in grid.events:
             print(f"grid: {line}")
     if session is not None:
@@ -433,9 +428,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"batches {backend_stats.batches_dispatched}; "
               f"partitions {backend_stats.partitions_dispatched}; "
               f"shm {backend_stats.shm_bytes_mapped / 1024:.1f} KiB; "
-              f"state requested {backend_stats.shm_bytes_requested / 1024:.1f} KiB "
-              f"/ republished {backend_stats.shm_bytes_republished / 1024:.1f} KiB "
-              f"({backend_stats.segments_reused} segment reuse(s)); "
+              f"state republished {backend_stats.shm_bytes_republished / 1024:.1f} KiB; "
               f"fallbacks {backend_stats.fallbacks}")
     print(f"edge maps: {stats.num_iterations}; "
           f"layouts {stats.layout_histogram()}; "

@@ -69,9 +69,6 @@ class BPOp(EdgeOperator):
     """Accumulate log-messages for both states into the destinations."""
 
     combine = "add"
-    #: one live instance per run, arrays mutated in place between phases
-    #: (see :class:`~repro.algorithms.pagerank.PageRankOp`).
-    persistent_state = True
 
     def __init__(
         self,
@@ -138,7 +135,7 @@ def belief_propagation(
     converged_on_resume = it > 0 and tolerance > 0.0 and delta < tolerance
     # One operator per run, updated in place each iteration (the copies
     # and fill(0.0) write the same values the per-iteration arrays held),
-    # so an adopting process backend republishes nothing between phases.
+    # so no iteration allocates fresh state arrays.
     op = BPOp(
         belief.copy(),
         np.zeros(n, dtype=VAL_DTYPE),

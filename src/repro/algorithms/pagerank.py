@@ -46,10 +46,6 @@ class PageRankOp(EdgeOperator):
     """Accumulate ``rank[u] / outdeg(u)`` into each destination."""
 
     combine = "add"
-    #: one live instance per run whose arrays the process backend may
-    #: adopt into shared-memory segments: the driver updates them in
-    #: place between phases, so republishing costs zero bytes.
-    persistent_state = True
 
     def __init__(self, contrib: np.ndarray, accum: np.ndarray) -> None:
         #: per-vertex contribution ``rank[u] / outdeg(u)``, precomputed.
@@ -105,9 +101,8 @@ def pagerank(
     converged_on_resume = it > 0 and tolerance > 0.0 and delta < tolerance
     # One operator for the whole run, its arrays updated in place each
     # iteration (np.divide writes the same values ``ranks / safe_deg``
-    # would produce; ``fill(0.0)`` equals a fresh zeros) — so a process
-    # backend that adopted the arrays into shared memory republishes
-    # nothing between phases.
+    # would produce; ``fill(0.0)`` equals a fresh zeros), so no
+    # iteration allocates fresh state arrays.
     op = PageRankOp(np.empty(n, dtype=VAL_DTYPE), np.zeros(n, dtype=VAL_DTYPE))
     if not converged_on_resume:
         for it in range(it + 1, iterations + 1):

@@ -55,9 +55,6 @@ class PRDeltaOp(EdgeOperator):
     """Accumulate ``delta[u] / outdeg(u)`` into each destination."""
 
     combine = "add"
-    #: one live instance per run, arrays mutated in place between phases
-    #: (see :class:`~repro.algorithms.pagerank.PageRankOp`).
-    persistent_state = True
 
     def __init__(self, scaled_delta: np.ndarray, accum: np.ndarray) -> None:
         self.scaled_delta = scaled_delta
@@ -110,7 +107,7 @@ def pagerank_delta(
             frontier = Frontier(n, sparse=state.frontier_ids)
     # One operator per run, updated in place each round (np.divide and
     # fill(0.0) write bit-identical values to the fresh arrays the loop
-    # used to build), so an adopting process backend republishes nothing.
+    # used to build), so no round allocates fresh state arrays.
     op = PRDeltaOp(np.empty(n, dtype=VAL_DTYPE), np.zeros(n, dtype=VAL_DTYPE))
     while not frontier.is_empty and rounds < max_iterations:
         np.divide(delta, safe_deg, out=op.scaled_delta)

@@ -18,7 +18,8 @@ the backend decides how they run.
     :mod:`multiprocessing.shared_memory`.  Graph layout arrays are
     published once into named shared-memory segments and cached by the
     workers across phases; per-phase state (the frontier bitmap and the
-    operator's state arrays) is published per dispatch.  Workers rebuild
+    operator's state arrays) is copied whole into one reused segment per
+    array at every dispatch.  Workers rebuild
     the operator around shared-memory views, *re-verify the signed
     safety certificate at attach time*, run the very same kernel
     functions (:mod:`repro.core.kernels`) as the serial path, and write
@@ -42,7 +43,6 @@ kind with colon-separated ``key=value`` options
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 from abc import ABC, abstractmethod
@@ -84,8 +84,8 @@ BACKEND_KINDS = ("serial", "process")
 
 #: option names each backend kind accepts in its spec.
 _SPEC_OPTIONS = {
-    "serial": frozenset({"prefetch"}),
-    "process": frozenset({"workers", "chunk", "strict", "start", "prefetch"}),
+    "serial": frozenset(),
+    "process": frozenset({"workers", "chunk", "strict", "start"}),
 }
 
 
@@ -134,32 +134,14 @@ def backend_options(spec: str) -> tuple[str, dict[str, Any]]:
 
     Returns ``(kind, options)`` with ``workers`` (int >= 1), ``chunk``
     (``"auto"`` or int >= 1), ``strict`` (bool: refuse vs. silently
-    serialise uncertified operators), ``start`` (multiprocessing start
-    method, or ``None`` for fork-with-spawn-fallback) and ``prefetch``
-    (int >= 0: grid read-ahead depth in blocks, 0 disables) resolved to
-    their defaults.  Raises
-    :class:`~repro.errors.ValidationError` on any ill-typed value.
+    serialise uncertified operators) and ``start`` (multiprocessing start
+    method, or ``None`` for fork-with-spawn-fallback) resolved to their
+    defaults.  Raises :class:`~repro.errors.ValidationError` on any
+    ill-typed value.
     """
     kind, raw = parse_backend_spec(spec)
     options: dict[str, Any] = {}
-
-    def _prefetch() -> int:
-        prefetch_raw = raw.get("prefetch", "0")
-        try:
-            prefetch = int(prefetch_raw)
-        except ValueError:
-            raise ValidationError(
-                f"backend option 'prefetch' must be an integer >= 0, "
-                f"got {prefetch_raw!r}"
-            ) from None
-        if prefetch < 0:
-            raise ValidationError(
-                f"backend option 'prefetch' must be >= 0, got {prefetch}"
-            )
-        return prefetch
-
     if kind == "serial":
-        options["prefetch"] = _prefetch()
         return kind, options
     try:
         workers = int(raw.get("workers", _default_workers()))
@@ -190,7 +172,6 @@ def backend_options(spec: str) -> tuple[str, dict[str, Any]]:
             f"backend option 'strict' must be 0 or 1, got {strict_raw!r}"
         )
     options["strict"] = strict_raw == "1"
-    options["prefetch"] = _prefetch()
     start = raw.get("start")
     if start is not None and start not in get_all_start_methods():
         raise ValidationError(
@@ -342,19 +323,6 @@ class _Segment:
             self.shm.close()
         except BufferError:  # pragma: no cover - a live export pins the map
             pass
-
-
-@dataclass
-class _StateSegment:
-    """One persistent state segment plus its publish generation tag.
-
-    The generation increments whenever the published content changes
-    (a dirty-span patch or a full re-create), giving tests and tooling
-    a cheap monotonic witness of how often state was actually shipped.
-    """
-
-    segment: _Segment
-    generation: int = 0
 
 
 def _attach_segment(ref: _ArrayRef) -> tuple[shared_memory.SharedMemory, np.ndarray]:
@@ -535,13 +503,10 @@ class ProcessBackend(ExecutionBackend):
         #: ``_pinned`` dict keeps the arrays alive so ids stay unique.
         self._layouts: dict[int, _Segment] = {}
         self._pinned: dict[int, np.ndarray] = {}
-        #: generation-tagged persistent state segments, keyed by
-        #: ``(scope, attr)`` — operator-state arrays scoped by operator
-        #: class, per-phase frontier arrays scoped ``"batch"``.  Unlike
-        #: the per-dispatch segments of the original design, these are
-        #: published once and only dirty spans are re-copied between
-        #: phases.
-        self._state_segments: dict[tuple[str, str], _StateSegment] = {}
+        #: reused state segments, keyed by ``(scope, attr)`` —
+        #: operator-state arrays scoped by operator class, per-phase
+        #: frontier arrays scoped ``"batch"``.
+        self._state_segments: dict[tuple[str, str], _Segment] = {}
         #: recently retired segment names, shipped with every opspec so
         #: workers drop their cached attachments.
         self._retired_names: deque[str] = deque(maxlen=64)
@@ -599,71 +564,33 @@ class ProcessBackend(ExecutionBackend):
         for key in list(self._state_segments):
             self._retire_state(key)
 
-    # -- persistent state segments -------------------------------------
+    # -- reused state segments -----------------------------------------
     def _retire_state(self, key: tuple[str, str]) -> None:
-        entry = self._state_segments.pop(key, None)
-        if entry is not None:
-            self._retired_names.append(entry.segment.shm.name)
-            entry.segment.release()
-
-    def segment_generation(self, scope: str, attr: str) -> int | None:
-        """Publish generation of one registered segment (observability)."""
-        entry = self._state_segments.get((scope, attr))
-        return entry.generation if entry is not None else None
+        segment = self._state_segments.pop(key, None)
+        if segment is not None:
+            self._retired_names.append(segment.shm.name)
+            segment.release()
 
     def _publish_state(self, scope: str, attr: str, value: np.ndarray) -> _Segment:
-        """Publish one state array through the generation-tagged registry.
+        """Copy one state array into its reused ``(scope, attr)`` segment.
 
-        First publication creates a named segment (counted in
-        ``shm_bytes_mapped``); later publications re-use it: a value
-        that *is* the segment view (an adopted persistent-state array)
-        costs nothing, anything else is diffed against the published
-        content and only the dirty span is re-copied
-        (``shm_bytes_republished``).  Shape or dtype changes retire the
-        segment and start a fresh generation.
+        The first publication creates a named segment (counted in
+        ``shm_bytes_mapped``); later ones copy the whole array into it
+        (``shm_bytes_republished``).  A shape or dtype change retires
+        the segment and maps a fresh one.
         """
         key = (scope, attr)
-        self.stats.shm_bytes_requested += int(value.nbytes)
-        entry = self._state_segments.get(key)
-        if entry is not None:
-            view = entry.segment.view
-            if (
-                view is not None
-                and view.shape == value.shape
-                and view.dtype == value.dtype
-            ):
-                self.stats.segments_reused += 1
-                if view is not value and self._patch_segment(entry.segment, value):
-                    entry.generation += 1
-                return entry.segment
+        segment = self._state_segments.get(key)
+        if segment is not None:
+            if segment.view.shape == value.shape and segment.view.dtype == value.dtype:
+                segment.view[...] = value
+                self.stats.shm_bytes_republished += segment.nbytes
+                return segment
             self._retire_state(key)
         segment = _Segment(value)
-        self._state_segments[key] = _StateSegment(segment)
+        self._state_segments[key] = segment
         self.stats.shm_bytes_mapped += segment.nbytes
-        if entry is not None:
-            # A re-created segment is a full re-publication, not a first
-            # mapping — charge it to the republish counter too.
-            self.stats.shm_bytes_republished += segment.nbytes
         return segment
-
-    def _patch_segment(self, segment: _Segment, value: np.ndarray) -> bool:
-        """Copy ``value``'s dirty span into the published view.
-
-        Returns whether anything changed.  The span is the smallest
-        ``[first, last)`` flat range covering every differing element —
-        one memcpy bounded by what actually changed, instead of the
-        whole array.
-        """
-        published = segment.view.reshape(-1)
-        current = np.ascontiguousarray(value).reshape(-1)
-        diff = published != current
-        if not diff.any():
-            return False
-        first = int(diff.argmax())
-        last = int(diff.size - diff[::-1].argmax())
-        published[first:last] = current[first:last]
-        self.stats.shm_bytes_republished += (last - first) * current.itemsize
-        return True
 
     def _chunks(self, tasks: list[PartitionTask]) -> list[list[PartitionTask]]:
         if self.chunk == "auto":
@@ -703,7 +630,6 @@ class ProcessBackend(ExecutionBackend):
         op = request.op
         cls = type(op)
         op_scope = f"{cls.__module__}:{cls.__qualname__}"
-        adopt = bool(getattr(cls, "persistent_state", False))
         array_refs: dict[str, _ArrayRef] = {
             key: self._layout_ref(arr) for key, arr in request.shared.items()
         }
@@ -713,15 +639,7 @@ class ProcessBackend(ExecutionBackend):
         scalars: dict[str, Any] = {}
         for attr, value in vars(op).items():
             if isinstance(value, np.ndarray):
-                segment = self._publish_state(op_scope, attr, value)
-                if adopt and value is not segment.view:
-                    # Adopt: the operator's state attribute *becomes*
-                    # the shared-memory view, so the driver's in-place
-                    # updates land directly in the published segment
-                    # and later publishes are identity no-ops.
-                    setattr(op, attr, segment.view)
-                    value = segment.view
-                state[attr] = (segment, value)
+                state[attr] = (self._publish_state(op_scope, attr, value), value)
             else:
                 scalars[attr] = value
         opspec = {
@@ -734,65 +652,27 @@ class ProcessBackend(ExecutionBackend):
             "validate": request.validate,
             "retired": tuple(self._retired_names),
         }
-        # Adopted write-set slices live in shared memory, so a failed
-        # batch would leave partial worker writes behind where the old
-        # copy-out design left the engine's arrays untouched.  Back them
-        # up parent-side and restore on any failure, preserving the
-        # "serial re-run starts pristine" fallback contract.
-        backup = self._backup_adopted(request, state)
-        try:
-            futures = [
-                executor.submit(
-                    _worker_run_chunk, opspec, request.kernel,
-                    array_refs, chunk, request.meta,
-                )
-                for chunk in self._chunks(request.tasks)
-            ]
-            records: dict[int, PartitionRecord] = {}
-            for future in futures:
-                for rec in future.result():
-                    records[rec.partition] = rec
-            missing = [t.partition for t in request.tasks if t.partition not in records]
-            if missing:
-                raise BackendError(f"workers returned no record for {missing}")
-            self._merge_state(request, state, records)
-            self.stats.batches_dispatched += 1
-            self.stats.partitions_dispatched += len(request.tasks)
-            return [records[t.partition] for t in request.tasks]
-        except BaseException:
-            # Un-adopt before the error escapes: the engine responds to
-            # a backend failure by closing this backend (releasing every
-            # segment), so an operator left pointing at segment views
-            # would read unmapped memory on the serial re-run.  Written
-            # attributes get their pristine pre-dispatch backup; read-only
-            # ones a plain copy of the (unchanged) published content.
-            for attr, (segment, original) in state.items():
-                if original is not segment.view or segment.view is None:
-                    continue
-                saved = backup.get(attr)
-                setattr(
-                    op,
-                    attr,
-                    saved if saved is not None else segment.view.copy(),
-                )
-            raise
-
-    def _backup_adopted(
-        self,
-        request: BatchRequest,
-        state: dict[str, tuple[_Segment, np.ndarray]],
-    ) -> dict[str, np.ndarray]:
-        """Pre-dispatch copies of adopted write-set arrays (rollback)."""
-        report = operator_report_for_merge(type(request.op))
-        written = {attr for attr, _ in report.write_sets} if report else None
-        backup: dict[str, np.ndarray] = {}
-        for attr, (segment, original) in state.items():
-            if original is not segment.view:
-                continue  # workers write a copy; parent array untouched
-            if written is not None and attr not in written:
-                continue
-            backup[attr] = segment.view.copy()
-        return backup
+        # Workers write only the shared copies; the operator's own arrays
+        # change in _merge_state, after every chunk succeeded, so a failed
+        # batch leaves them pristine for the serial re-run.
+        futures = [
+            executor.submit(
+                _worker_run_chunk, opspec, request.kernel,
+                array_refs, chunk, request.meta,
+            )
+            for chunk in self._chunks(request.tasks)
+        ]
+        records: dict[int, PartitionRecord] = {}
+        for future in futures:
+            for rec in future.result():
+                records[rec.partition] = rec
+        missing = [t.partition for t in request.tasks if t.partition not in records]
+        if missing:
+            raise BackendError(f"workers returned no record for {missing}")
+        self._merge_state(request, state, records)
+        self.stats.batches_dispatched += 1
+        self.stats.partitions_dispatched += len(request.tasks)
+        return [records[t.partition] for t in request.tasks]
 
     def _merge_state(
         self,
@@ -813,11 +693,6 @@ class ProcessBackend(ExecutionBackend):
         written = {attr for attr, _ in report.write_sets} if report else None
         n = request.num_vertices
         for attr, (segment, original) in state.items():
-            if original is segment.view:
-                # Adopted persistent state: the operator attribute *is*
-                # the shared segment, so the workers' disjoint-slice
-                # writes are already committed in place.
-                continue
             if written is not None and attr not in written:
                 continue
             if original.ndim >= 1 and original.shape[0] == n:
@@ -841,7 +716,3 @@ def operator_report_for_merge(cls: type):
     except Exception:  # pragma: no cover - analysis failure fallback
         return None
 
-
-def spec_fingerprint(spec: str) -> str:
-    """Short stable id of a backend spec (log/bench labelling)."""
-    return hashlib.blake2b(spec.encode(), digest_size=4).hexdigest()

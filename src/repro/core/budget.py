@@ -82,28 +82,12 @@ class MemoryBudget:
     what a spill directory without an explicit budget gets.
     """
 
-    def __init__(
-        self,
-        limit_bytes: int | None = None,
-        *,
-        prefetch_quota: int | None = None,
-    ) -> None:
+    def __init__(self, limit_bytes: int | None = None) -> None:
         if limit_bytes is not None and limit_bytes <= 0:
             raise ValidationError(
                 f"memory budget must be positive, got {limit_bytes!r}"
             )
-        if prefetch_quota is not None and prefetch_quota < 0:
-            raise ValidationError(
-                f"prefetch quota must be >= 0, got {prefetch_quota!r}"
-            )
         self.limit_bytes = limit_bytes
-        #: explicit cap on in-flight prefetched bytes; ``None`` derives
-        #: half the limit (unbounded when the limit itself is unbounded).
-        self.prefetch_quota = prefetch_quota
-        #: bytes currently held in read-ahead results not yet consumed.
-        self.prefetch_inflight_bytes = 0
-        #: largest in-flight prefetch footprint ever reached.
-        self.prefetch_high_water_bytes = 0
         #: bytes currently charged against the budget.
         self.resident_bytes = 0
         #: largest resident footprint ever reached — the oversubscription
@@ -156,46 +140,6 @@ class MemoryBudget:
         self.admissions += 1
         self.high_water_bytes = max(self.high_water_bytes, self.resident_bytes)
         return evicted
-
-    # -- reserved prefetch quota ---------------------------------------
-    def effective_prefetch_quota(self) -> int | None:
-        """The reserved read-ahead byte quota (``None`` = unbounded).
-
-        Defaults to half the budget limit so the resident LRU cache and
-        the in-flight prefetch slots can never starve each other.
-        """
-        if self.prefetch_quota is not None:
-            return self.prefetch_quota
-        return None if self.limit_bytes is None else self.limit_bytes // 2
-
-    def reserve_prefetch(self, num_bytes: int) -> bool:
-        """Charge one read-ahead payload against the prefetch quota.
-
-        Returns ``False`` (caller waits for consumption) when the quota
-        is full; a single payload larger than the whole quota is let
-        through while nothing else is in flight, so oversized blocks
-        cannot deadlock the reader.
-        """
-        if num_bytes < 0:
-            raise ValidationError("cannot reserve a negative byte count")
-        quota = self.effective_prefetch_quota()
-        if (
-            quota is not None
-            and self.prefetch_inflight_bytes > 0
-            and self.prefetch_inflight_bytes + num_bytes > quota
-        ):
-            return False
-        self.prefetch_inflight_bytes += num_bytes
-        self.prefetch_high_water_bytes = max(
-            self.prefetch_high_water_bytes, self.prefetch_inflight_bytes
-        )
-        return True
-
-    def release_prefetch(self, num_bytes: int) -> None:
-        """Return one consumed (or cancelled) read-ahead payload's bytes."""
-        self.prefetch_inflight_bytes = max(
-            0, self.prefetch_inflight_bytes - num_bytes
-        )
 
     def release(self, key: Hashable) -> None:
         """Return ``key``'s bytes to the budget (missing keys are a no-op)."""

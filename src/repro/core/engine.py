@@ -172,10 +172,6 @@ class Engine:
         self._backend_obj: ExecutionBackend | None = None
         self._serial_backend = SerialBackend()
         self._backend_finalizer = None
-        if grid is not None:
-            depth = int(self._backend_conf.get("prefetch", 0) or 0)
-            if depth > 0:
-                grid.enable_prefetch(depth)
         #: whether the current edge-map phase may run concurrently
         #: (certified operator + non-serial backend); set at admission.
         self._phase_concurrent = False
@@ -216,16 +212,14 @@ class Engine:
         return self._backend_obj
 
     def close(self) -> None:
-        """Shut down the execution backend (worker pool, shm segments)
-        and the grid's background reader, when either exists."""
+        """Shut down the execution backend (worker pool, shm segments),
+        when one exists."""
         if self._backend_finalizer is not None:
             self._backend_finalizer.detach()
             self._backend_finalizer = None
         if self._backend_obj is not None:
             self._backend_obj.close()
             self._backend_obj = None
-        if self.grid is not None:
-            self.grid.close()
 
     def __enter__(self) -> "Engine":
         return self
@@ -356,19 +350,13 @@ class Engine:
         """Switch this engine to out-of-core grid execution.
 
         All subsequent edge-maps stream ``grid``'s blocks under its
-        memory budget instead of traversing the in-RAM layouts.  The
-        backend spec's ``prefetch=N`` knob starts the grid's background
-        reader so block k+1's disk read overlaps block k's compute.
+        memory budget instead of traversing the in-RAM layouts.
         """
         self.grid = grid
-        depth = int(self._backend_conf.get("prefetch", 0) or 0)
-        if depth > 0:
-            grid.enable_prefetch(depth)
         self.resilience_log.append(
             f"grid execution attached: {grid.num_stripes}x{grid.num_stripes} "
             f"blocks, {grid.total_bytes()} B on disk, budget "
-            f"{grid.budget.limit_bytes or 'unlimited'}, "
-            f"prefetch {'x' + str(depth) if depth > 0 else 'off'}"
+            f"{grid.budget.limit_bytes or 'unlimited'}"
         )
 
     def _edge_map_dispatch(self, frontier: Frontier, op: EdgeOperator) -> Frontier:
@@ -1103,15 +1091,10 @@ class Engine:
             if digest is not None and self._slice_digest(op, lo, hi) != digest:
                 journal.drop_stripe(j)
         # Decide the whole stripe's block plan up front — skip (inactive
-        # source stripe), replay (journaled) or read — and hand the read
-        # list to the grid's background reader in consumption order.
-        # Every input to the decision (block edge counts, the frontier
-        # bitmap, the journal's committed blocks) is fixed for the
-        # stripe, so the plan equals what the loop would have decided
-        # inline; schedule_reads cancels any stale schedule first, which
-        # is how skip decisions retire prefetches they obsoleted.
+        # source stripe), replay (journaled) or read.  Every input to the
+        # decision (block edge counts, the frontier bitmap, the journal's
+        # committed blocks) is fixed for the stripe.
         plan: list[tuple[int, str]] = []
-        reads: list[tuple[int, int]] = []
         for i in range(grid.num_stripes):
             if grid.block_edges(i, j) == 0:
                 continue
@@ -1122,9 +1105,6 @@ class Engine:
                 plan.append((i, "replay"))
                 continue
             plan.append((i, "read"))
-            reads.append((i, j))
-        if grid.prefetch_enabled:
-            grid.schedule_reads(reads)
         records: list[PartitionRecord] = []
         for i, step in plan:
             if step == "skip":

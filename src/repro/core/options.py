@@ -78,14 +78,10 @@ class EngineOptions:
         Execution backend spec (see
         :func:`repro.core.backend.parse_backend_spec`): ``"serial"``
         (default — the in-process reference path) or
-        ``"process[:workers=N][:chunk=auto|N][:strict=0|1][:start=fork|spawn]``
-        ``[:prefetch=0|1|N]"`` — a persistent worker pool over
-        shared-memory arrays running the partitioned kernels' disjoint
-        partition slices concurrently, bit-identical to serial.
-        ``prefetch=N`` enables double-buffered grid block read-ahead of
-        depth ``N`` when an out-of-core grid is attached (``prefetch`` is
-        also accepted on ``serial`` specs, since grid streaming is
-        backend-independent).  Any non-serial backend enforces the
+        ``"process[:workers=N][:chunk=auto|N][:strict=0|1][:start=fork|spawn]"``
+        — a persistent worker pool over shared-memory arrays running the
+        partitioned kernels' disjoint partition slices concurrently,
+        bit-identical to serial.  Any non-serial backend enforces the
         admission contract: operators must be certified *partition-pure*
         (``strict=1``, the default, refuses others with a
         :class:`~repro.errors.ValidationError`; ``strict=0`` runs them

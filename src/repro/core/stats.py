@@ -44,17 +44,9 @@ class BackendStats:
     #: state (layout segments are counted once — they are cached across
     #: phases).
     shm_bytes_mapped: int = 0
-    #: bytes a republish-every-phase backend *would* have copied: the
-    #: full size of every state/frontier array at every dispatch.  The
-    #: denominator of the republish-savings ratio.
-    shm_bytes_requested: int = 0
-    #: bytes actually re-copied into already-published segments (dirty
-    #: spans only).  ``shm_bytes_requested / shm_bytes_republished`` is
-    #: the persistent-segment win; adopted state republishes zero bytes.
+    #: bytes copied into already-published state segments (the frontier
+    #: bitmap and the operator's state arrays, whole, at every dispatch).
     shm_bytes_republished: int = 0
-    #: dispatches served by an already-published generation-tagged
-    #: segment instead of a fresh create/copy/unlink cycle.
-    segments_reused: int = 0
     #: times a backend failure demoted execution to the serial path.
     fallbacks: int = 0
 

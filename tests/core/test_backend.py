@@ -45,10 +45,9 @@ def test_removed_sparse_option_is_refused():
         backend_options("process:sparse=1")
 
 
-def test_serial_accepts_only_prefetch():
+def test_serial_accepts_no_options():
     with pytest.raises(ValidationError, match="does not accept option"):
         parse_backend_spec("serial:workers=2")
-    assert parse_backend_spec("serial:prefetch=2") == ("serial", {"prefetch": "2"})
 
 
 def test_malformed_option_is_refused():
@@ -73,20 +72,14 @@ def test_validation_error_is_both_graph_error_and_value_error():
 # ----------------------------------------------------------------------
 # backend_options: typed resolution
 # ----------------------------------------------------------------------
-def test_serial_typed_options_are_prefetch_only():
-    assert backend_options("serial") == ("serial", {"prefetch": 0})
-    assert backend_options("serial:prefetch=3") == ("serial", {"prefetch": 3})
+def test_serial_typed_options_are_empty():
+    assert backend_options("serial") == ("serial", {})
 
 
-def test_prefetch_is_typed():
-    kind, options = backend_options("process:workers=2:prefetch=2")
-    assert kind == "process"
-    assert options["prefetch"] == 2
-    assert backend_options("process")[1]["prefetch"] == 0
-    with pytest.raises(ValidationError, match="prefetch"):
-        backend_options("process:prefetch=-1")
-    with pytest.raises(ValidationError, match="prefetch"):
-        backend_options("serial:prefetch=deep")
+def test_removed_prefetch_option_is_refused():
+    for spec in ("serial:prefetch=2", "process:prefetch=2"):
+        with pytest.raises(ValidationError, match="does not accept option 'prefetch'"):
+            backend_options(spec)
 
 
 def test_process_defaults_are_resolved():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import registry
-from repro.algorithms.pagerank import pagerank
+from repro.algorithms.pagerank import PageRankOp, pagerank
 from repro.analysis.certificate import signed_report_token
 from repro.analysis.sanitizer import default_graph
 from repro.core import Engine, EngineOptions
@@ -269,73 +269,42 @@ def test_context_manager_closes_the_pool(store):
 
 
 # ----------------------------------------------------------------------
-# persistent operator-state segments
+# operator state: the caller's arrays receive the merged result
 # ----------------------------------------------------------------------
-def test_persistent_state_cuts_republished_bytes_at_least_5x(store):
-    """20-iteration PageRank republishes >=5x less than the old
-    republish-every-phase model (= ``shm_bytes_requested``), because the
-    adopted operator arrays are mutated in place inside their segments."""
-    serial = pagerank(Engine(store, EngineOptions(num_threads=4)), iterations=20)
+def test_callers_own_state_array_holds_the_serial_result(store):
+    """A caller that keeps its own reference to an operator array reads
+    the merged result there: the backend writes back into the operator's
+    arrays and never swaps them for shared-memory views."""
+    n = store.num_vertices
+    contrib = np.linspace(1.0, 2.0, n)
+    accum_serial = np.zeros(n)
+    Engine(store, EngineOptions(num_threads=4)).edge_map(
+        Frontier.full(n), PageRankOp(contrib, accum_serial)
+    )
+    accum = np.zeros(n)
+    op = PageRankOp(contrib, accum)
     engine = Engine(
         store, EngineOptions(num_threads=4, backend="process:workers=2")
     )
     try:
-        result = pagerank(engine, iterations=20)
-        stats = engine.backend_stats
-        assert stats.fallbacks == 0
-        assert stats.segments_reused > 0
-        assert stats.shm_bytes_requested > 0
-        assert stats.shm_bytes_requested >= 5 * stats.shm_bytes_republished, (
-            f"republished {stats.shm_bytes_republished} B vs "
-            f"{stats.shm_bytes_requested} B requested: persistent segments "
-            f"should republish at least 5x less than republish-every-phase"
-        )
-        np.testing.assert_array_equal(serial.ranks, result.ranks)
+        engine.edge_map(Frontier.full(n), op)
+        assert engine.backend_stats.partitions_dispatched > 0
+        assert op.accum is accum
+        assert accum.any()
+        np.testing.assert_array_equal(accum_serial, accum)
     finally:
         engine.close()
 
 
-def test_adopted_operator_arrays_live_in_shared_segments(store):
-    """An op with ``persistent_state`` has its arrays replaced by segment
-    views after the first dispatch, and the generation only advances when
-    a *non-adopted* publisher actually patches bytes."""
-    engine = Engine(
-        store, EngineOptions(num_threads=4, backend="process:workers=2")
-    )
-    try:
-        pagerank(engine, iterations=3)
-        backend = engine._backend_obj
-        assert isinstance(backend, ProcessBackend)
-        from repro.algorithms.pagerank import PageRankOp
-
-        scope = f"{PageRankOp.__module__}:{PageRankOp.__qualname__}"
-        gen_contrib = backend.segment_generation(scope, "contrib")
-        gen_accum = backend.segment_generation(scope, "accum")
-        assert gen_contrib is not None and gen_accum is not None
-        # adopted publishes are identity checks: the 3 iterations of the
-        # run above never bump the generation past the initial publish
-        assert gen_contrib == 0 and gen_accum == 0
-        reused_before = engine.backend_stats.segments_reused
-        pagerank(engine, iterations=2)
-        # a second run builds a fresh op with different contents, so the
-        # registry reuses the segment (diff-patching it, which advances
-        # the generation) instead of mapping a new one
-        assert engine.backend_stats.segments_reused > reused_before
-        assert backend.segment_generation(scope, "contrib") is not None
-    finally:
-        engine.close()
-
-
-def test_fallback_unadopts_segment_views(store):
-    """After a backend fallback closes the pool (releasing every shm
-    segment), the serial re-run and later iterations must not touch the
-    now-unmapped views — the dispatcher un-adopts on the way out."""
+def test_killed_pool_falls_back_to_bit_identical_serial_ranks(store):
+    """A SIGKILLed pool falls back to the serial path, and the ranks stay
+    bit-identical to a serial run."""
     serial = pagerank(Engine(store, EngineOptions(num_threads=4)), iterations=10)
     engine = Engine(
         store, EngineOptions(num_threads=4, backend="process:workers=2")
     )
     try:
-        pagerank(engine, iterations=2)  # adopt the op arrays
+        pagerank(engine, iterations=2)  # start the pool
         backend = engine._backend_obj
         for pid in backend.worker_pids():
             os.kill(pid, signal.SIGKILL)

@@ -231,94 +231,3 @@ def test_killed_spilled_run_resumes_bit_identical(
     )
     _assert_identical(baseline, resumed)
 
-
-# ----------------------------------------------------------------------
-# double-buffered prefetch: same results, same fault tolerance
-# ----------------------------------------------------------------------
-def _prefetch_engine(edges, *, policy, depth=2, threads=4):
-    store = GraphStore.build(edges, num_partitions=8)
-    return Engine(
-        store,
-        EngineOptions(num_threads=threads, backend=f"serial:prefetch={depth}"),
-        resilience=policy,
-    )
-
-
-@pytest.mark.parametrize("code", list(ALGOS))
-def test_prefetched_spill_is_bit_identical(small_rmat, small_symmetric, code):
-    graph = _graph_for(code, small_rmat, small_symmetric)
-    run = ALGOS[code]
-    baseline = run(_engine(graph))
-
-    engine = _prefetch_engine(graph, policy=_spill_policy())
-    spilled = run(engine)
-
-    _assert_identical(baseline, spilled)
-    assert engine.grid is not None
-    assert engine.grid.prefetch_enabled
-    assert engine.grid.stats.prefetched > 0
-    budget = engine.grid.budget
-    assert 0 < budget.high_water_bytes <= budget.limit_bytes
-    # the reader never holds more than the quota in flight, except the
-    # single-oversized-payload escape hatch that prevents deadlock
-    quota = budget.effective_prefetch_quota()
-    biggest = max(e["bytes"] for e in engine.grid.manifest["blocks"])
-    assert budget.prefetch_high_water_bytes <= max(quota, biggest)
-
-
-@pytest.mark.parametrize(
-    "spec, stat, value",
-    [
-        ("io_error@1", "io_retries", 1),
-        ("torn_block@0", "repairs", 1),
-        ("disk_full@0", "write_retries", 1),
-    ],
-)
-def test_disk_faults_on_prefetched_blocks_recover_bit_identical(
-    small_rmat, spec, stat, value
-):
-    """A fault landing on a *prefetched* block takes the identical
-    repair/retry path the synchronous read would: the reader thread runs
-    the same verified-read loop, so the stats and the results match."""
-    baseline = bfs(_engine(small_rmat), 0)
-    engine = _prefetch_engine(small_rmat, policy=_spill_policy(spec))
-    spilled = bfs(engine, 0)
-    _assert_identical(baseline, spilled)
-    assert getattr(engine.grid.stats, stat) == value
-
-
-def test_prefetched_compound_fault_plan_survives(small_rmat):
-    baseline = pagerank(_engine(small_rmat), iterations=6)
-    engine = _prefetch_engine(
-        small_rmat,
-        policy=_spill_policy("torn_block@1,io_error@3,worker_crash@2:0",
-                             retries=6),
-    )
-    spilled = pagerank(engine, iterations=6)
-    assert np.array_equal(spilled.ranks, baseline.ranks)
-    stats = engine.grid.stats
-    assert stats.repairs == 1
-    assert stats.io_retries == 1
-
-
-def test_skip_decisions_cancel_stale_prefetches(small_rmat):
-    # BFS's sparse early frontiers skip whole stripes; each new stripe
-    # plan reschedules the reader, so no stale block is ever consumed
-    # (bit-identity is asserted via the baseline) and nothing leaks.
-    baseline = bfs(_engine(small_rmat), 0)
-    engine = _prefetch_engine(small_rmat, policy=_spill_policy())
-    spilled = bfs(engine, 0)
-    _assert_identical(baseline, spilled)
-    assert engine.grid.stats.blocks_skipped > 0
-    assert engine.grid.budget.prefetch_inflight_bytes == 0
-
-
-def test_prefetched_slow_read_escalates_through_watchdog(small_rmat):
-    baseline = bfs(_engine(small_rmat), 0)
-    engine = _prefetch_engine(
-        small_rmat, policy=_spill_policy("slow_io@2", watchdog=Watchdog())
-    )
-    spilled = bfs(engine, 0)
-    _assert_identical(baseline, spilled)
-    assert engine.grid.stats.slow_reads == 1
-    assert engine.journal.reexecutions == 1
